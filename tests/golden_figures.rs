@@ -1,9 +1,11 @@
 //! Golden-figure regression tests.
 //!
-//! The committed Figure 10–13 scenario timelines run at a fixed seed on a
+//! The committed Figure 10–13 scenario timelines, the ycsb02 drifting
+//! hotspot and the open-loop overload02 burst run at a fixed seed on a
 //! reduced scale, and the per-segment `RunStats` (committed / aborted /
-//! throughput / repartitionings) must match the snapshot JSON files under
-//! `tests/goldens/`.  The virtual-time simulator is fully deterministic, so
+//! throughput / repartitionings, p50 / p99 latency, and the open-loop
+//! offered / rejected / final queue depth) must match the snapshot JSON
+//! files under `tests/goldens/`.  The virtual-time simulator is fully deterministic, so
 //! any mismatch means a change to the *simulated behaviour* — which every
 //! pure performance refactor must avoid (same seed ⇒ same simulated
 //! stats).
@@ -18,10 +20,12 @@
 //! them.
 
 use atrapos_bench::figures::{
-    fig10_scenario, fig11_scenario, fig12_scenario, fig13_scenario, figure_executor, ycsb02_jobs,
+    fig10_scenario, fig11_scenario, fig12_scenario, fig13_scenario, figure_executor,
+    overload02_jobs, ycsb02_jobs,
 };
 use atrapos_bench::Scale;
 use atrapos_engine::scenario::ScenarioOutcome;
+use atrapos_engine::sweep::SweepJob;
 use atrapos_engine::Scenario;
 use atrapos_workloads::TatpTxn;
 use serde::{Deserialize, Serialize};
@@ -50,6 +54,11 @@ struct GoldenSegment {
     aborted: u64,
     throughput_tps: f64,
     repartitions: u64,
+    p50_latency_us: f64,
+    p99_latency_us: f64,
+    offered: u64,
+    rejected: u64,
+    queue_depth_end: u64,
 }
 
 /// A golden snapshot of one scenario × variant run.
@@ -74,6 +83,11 @@ fn golden_of(outcome: &ScenarioOutcome, variant: &str) -> GoldenFile {
                 aborted: s.stats.aborted,
                 throughput_tps: s.stats.throughput_tps,
                 repartitions: s.stats.repartitions,
+                p50_latency_us: s.stats.p50_latency_us,
+                p99_latency_us: s.stats.p99_latency_us,
+                offered: s.stats.offered,
+                rejected: s.stats.rejected,
+                queue_depth_end: s.stats.queue_depth_end,
             })
             .collect(),
     }
@@ -202,14 +216,26 @@ fn fig13_adaptive_matches_golden() {
     );
 }
 
-#[test]
-fn ycsb02_matches_goldens_on_all_four_designs() {
-    // The drifting-hotspot timeline, pinned per design: the golden file
-    // name is derived from the job name (`ycsb02/<design label>`).
-    for job in ycsb02_jobs(&golden_scale()) {
+/// Pin every job of a lab-job list; the golden file name is derived from
+/// the job name (`<experiment>/<design label>`).
+fn check_jobs_goldens(jobs: Vec<SweepJob>) {
+    for job in jobs {
         let name = job.name.to_lowercase().replace(['/', '-', ' '], "_");
         let variant = job.name.clone();
-        let outcome = job.run().expect("ycsb02 golden scenario runs");
+        let outcome = job.run().expect("golden scenario runs");
         check_outcome_golden(&name, &variant, &outcome);
     }
+}
+
+#[test]
+fn ycsb02_matches_goldens_on_all_four_designs() {
+    // The drifting-hotspot timeline, pinned per design.
+    check_jobs_goldens(ycsb02_jobs(&golden_scale()));
+}
+
+#[test]
+fn overload02_matches_goldens_on_all_four_designs() {
+    // The open-loop burst timeline, pinned per design: arrivals, admission
+    // rejections and queue-inclusive latency are what the open loop adds.
+    check_jobs_goldens(overload02_jobs(&golden_scale()));
 }
