@@ -23,7 +23,9 @@ use atrapos_bench::cli::{self, FlagSpec};
 use atrapos_bench::figures::{
     run_by_id, ABLATION_IDS, ALL_IDS, OVERLOAD_IDS, REPORT_IDS, SPEC_IDS, YCSB_IDS,
 };
-use atrapos_bench::report::{figures_path, load_figures, report_dir, save_figures};
+use atrapos_bench::report::{
+    figures_path, load_figures, report_dir, save_figures, write_scenario_json,
+};
 use atrapos_bench::{replay, shootout, wallclock, workload_cmd, Scale};
 use std::path::Path;
 
@@ -187,9 +189,12 @@ fn cmd_figures(args: &[String]) -> Result<(), String> {
 
     let mut store = load_figures()?;
     for id in &ids {
-        let fig = run_by_id(id, &scale)
+        let (fig, segments) = run_by_id(id, &scale)
             .unwrap_or_else(|| unreachable!("id '{id}' was validated against the known lists"));
         fig.print();
+        if let Some(segments) = &segments {
+            write_scenario_json(id, segments)?;
+        }
         store.upsert(fig);
     }
     let path = save_figures(&store)?;

@@ -1,7 +1,7 @@
 //! Ablation experiments.
 //!
-//! These are not figures of the paper; they isolate the design choices that
-//! DESIGN.md calls out and exercise the §VII future-work extension:
+//! These are not figures of the paper; they isolate the paper's key design
+//! choices and exercise the §VII future-work extension:
 //!
 //! * `abl01` — what if the hardware were uniform?  The ATraPos advantage
 //!   over PLP comes entirely from the non-uniform interconnect, so it must
@@ -458,14 +458,6 @@ pub fn run_ablation(id: &str, scale: &Scale) -> Option<FigureResult> {
         "abl04" => Some(abl04_sharding_advisor(scale)),
         _ => None,
     }
-}
-
-/// Run every ablation.
-pub fn run_all_ablations(scale: &Scale) -> Vec<FigureResult> {
-    ABLATION_IDS
-        .iter()
-        .filter_map(|id| run_ablation(id, scale))
-        .collect()
 }
 
 #[cfg(test)]

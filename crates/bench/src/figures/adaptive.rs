@@ -9,11 +9,11 @@
 //!
 //! Each experiment is a declarative [`Scenario`] run against two
 //! [`DesignSpec`]s (the static baseline and full ATraPos) — the timeline is
-//! data, so the same scenario could be loaded from a file (see the
-//! `scenario_replay` example) or swept over other designs.
+//! data, so the same scenario could be loaded from a file (see
+//! `atrapos replay`) or swept over other designs.
 
 use crate::harness::{machine, run_meta, Scale};
-use crate::report::{fmt, write_scenario_json, FigureResult};
+use crate::report::{fmt, with_segments, FigureResult, SegmentsFile};
 use atrapos_core::{AdaptiveInterval, ControllerConfig, KeyDistribution};
 use atrapos_engine::scenario::{Scenario, ScenarioEvent, ScenarioOutcome};
 use atrapos_engine::sweep::{default_threads, run_sweep, SweepJob};
@@ -70,9 +70,11 @@ pub fn fig09_repartitioning(scale: &Scale) -> FigureResult {
         let mut t = base.clone();
         let start = Instant::now();
         for k in 0..n.min(partitions as usize) {
+            // The k earlier splits each added one partition in front of
+            // original partition k, so it now sits at index 2k.
             let idx = 2 * k;
-            let lower = k as i64 * 2 * rows / partitions;
-            let upper = (k as i64 * 2 + 1) * rows / partitions;
+            let lower = k as i64 * rows / partitions;
+            let upper = (k as i64 + 1) * rows / partitions;
             let mid = (lower + upper) / 2;
             t.index_mut()
                 .split_partition(idx, Key::int(mid), SocketId(0))
@@ -262,7 +264,7 @@ pub fn fig10_scenario(scale: &Scale) -> Scenario {
 
 /// Figure 10: adapting to workload changes (UpdSubData → GetNewDest →
 /// TATP-Mix).
-pub fn fig10_adapt_workload(scale: &Scale) -> FigureResult {
+pub fn fig10_adapt_workload(scale: &Scale) -> (FigureResult, SegmentsFile) {
     let mut fig = FigureResult::new(
         "fig10",
         "Adapting to workload changes (KTPS over time)",
@@ -279,9 +281,7 @@ pub fn fig10_adapt_workload(scale: &Scale) -> FigureResult {
         scale.time_compression()
     ));
     fig.note("expected shape: ATraPos recovers within a few monitoring intervals after each switch and exceeds the static configuration");
-    write_scenario_json("fig10", figure_meta(), &[&s, &a]);
-    fig.set_meta(figure_meta());
-    fig
+    with_segments(fig, figure_meta(), vec![s, a])
 }
 
 /// The Figure 11 timeline: uniform, then a sudden hotspot (50% of the
@@ -304,7 +304,7 @@ pub fn fig11_scenario(scale: &Scale) -> Scenario {
 }
 
 /// Figure 11: adapting to sudden skew (50% of requests to 20% of the data).
-pub fn fig11_adapt_skew(scale: &Scale) -> FigureResult {
+pub fn fig11_adapt_skew(scale: &Scale) -> (FigureResult, SegmentsFile) {
     let mut fig = FigureResult::new(
         "fig11",
         "Adapting to sudden workload skew (KTPS over time)",
@@ -316,9 +316,7 @@ pub fn fig11_adapt_skew(scale: &Scale) -> FigureResult {
         fig.push_row(row);
     }
     fig.note("expected shape: both drop when the skew appears; ATraPos repartitions and recovers most of the loss, the static system does not");
-    write_scenario_json("fig11", figure_meta(), &[&s, &a]);
-    fig.set_meta(figure_meta());
-    fig
+    with_segments(fig, figure_meta(), vec![s, a])
 }
 
 /// The Figure 12 timeline: one of four sockets fails after the first
@@ -332,7 +330,7 @@ pub fn fig12_scenario(scale: &Scale) -> Scenario {
 }
 
 /// Figure 12: adapting to a hardware change (one socket fails).
-pub fn fig12_adapt_hardware(scale: &Scale) -> FigureResult {
+pub fn fig12_adapt_hardware(scale: &Scale) -> (FigureResult, SegmentsFile) {
     let mut fig = FigureResult::new(
         "fig12",
         "Adapting to a processor failure (KTPS over time)",
@@ -344,9 +342,7 @@ pub fn fig12_adapt_hardware(scale: &Scale) -> FigureResult {
         fig.push_row(row);
     }
     fig.note("one of four sockets fails after the first phase; the static system overloads one remaining socket, ATraPos repartitions across the surviving cores");
-    write_scenario_json("fig12", figure_meta(), &[&s, &a]);
-    fig.set_meta(figure_meta());
-    fig
+    with_segments(fig, figure_meta(), vec![s, a])
 }
 
 /// The Figure 13 timeline: A = GetNewDest and B = TATP-Mix alternating
@@ -372,7 +368,7 @@ pub fn fig13_scenario(scale: &Scale) -> Scenario {
 
 /// Figure 13: adapting to frequent workload changes (A = GetNewDest,
 /// B = TATP-Mix, alternating).
-pub fn fig13_adapt_frequency(scale: &Scale) -> FigureResult {
+pub fn fig13_adapt_frequency(scale: &Scale) -> (FigureResult, SegmentsFile) {
     let mut fig = FigureResult::new(
         "fig13",
         "Adapting to frequent workload changes (KTPS over time, ATraPos)",
@@ -402,9 +398,7 @@ pub fn fig13_adapt_frequency(scale: &Scale) -> FigureResult {
         }
     }
     fig.note("A = GetNewDest, B = TATP-Mix; the monitoring interval relaxes while the workload is stable and resets after each adaptation");
-    write_scenario_json("fig13", figure_meta(), &[&outcome]);
-    fig.set_meta(figure_meta());
-    fig
+    with_segments(fig, figure_meta(), vec![outcome])
 }
 
 #[cfg(test)]

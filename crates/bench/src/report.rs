@@ -58,27 +58,25 @@ pub struct SegmentsFile {
     pub outcomes: Vec<ScenarioOutcome>,
 }
 
-/// Write the per-segment statistics of one experiment's scenario runs as
-/// JSON next to the text report (`reports/BENCH_<id>_segments.json`), so
-/// the performance trajectory has machine-readable input.  Best-effort: a
-/// read-only working directory only loses the JSON copy, never the run.
-pub fn write_scenario_json(
-    id: &str,
+/// Stamp `fig` with the provenance `meta` and pair it with the
+/// per-segment report of the scenario runs behind it.
+pub fn with_segments(
+    mut fig: FigureResult,
     meta: RunMeta,
-    outcomes: &[&ScenarioOutcome],
-) -> Option<PathBuf> {
+    outcomes: Vec<ScenarioOutcome>,
+) -> (FigureResult, SegmentsFile) {
+    fig.set_meta(meta.clone());
+    (fig, SegmentsFile { meta, outcomes })
+}
+
+/// Write the per-segment statistics of one experiment's scenario runs as
+/// JSON next to the figure store (`reports/BENCH_<id>_segments.json`), so
+/// the performance trajectory has machine-readable input.
+pub fn write_scenario_json(id: &str, file: &SegmentsFile) -> Result<PathBuf, String> {
     let dir = report_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
-        return None;
-    }
+    std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let path = dir.join(format!("BENCH_{id}_segments.json"));
-    let file = SegmentsFile {
-        meta,
-        outcomes: outcomes.iter().map(|o| (*o).clone()).collect(),
-    };
-    let body = serde::json::to_string_pretty(&file);
-    match std::fs::write(&path, body) {
-        Ok(()) => Some(path),
-        Err(_) => None,
-    }
+    std::fs::write(&path, serde::json::to_string_pretty(file))
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    Ok(path)
 }

@@ -2,10 +2,9 @@
 //! on a chosen workload and machine size, through the parallel experiment
 //! lab.
 //!
-//! This is the generalization of the old `design_shootout` example: the
-//! (socket count × design) measurements are independent jobs, fan out over
-//! the lab, and come back in submission order as one [`FigureResult`]
-//! table per socket count.
+//! The (socket count × design) measurements are independent jobs, fan
+//! out over the lab, and come back in submission order as one
+//! [`FigureResult`] table per socket count.
 //!
 //! With `--arrival <tps>` the sweep serves the workload *open loop* —
 //! Poisson arrivals through a bounded admission queue (`--bound`) — and

@@ -48,11 +48,6 @@ impl Monitor {
         self.enabled
     }
 
-    /// Enable or disable monitoring at runtime.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
     /// Record an executed action: `cycles` of work on `sub`.  Charges the
     /// monitoring overhead to `ctx` when enabled.
     pub fn record_action(&mut self, ctx: &mut SimCtx<'_>, sub: SubPartitionId, cycles: f64) {

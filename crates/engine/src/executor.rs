@@ -17,10 +17,12 @@
 //! and wait in a bounded admission queue for a free client, so offered
 //! load and service capacity decouple — the executor then also reports
 //! offered load, admission rejections, queue depths, and full latency
-//! distributions (queueing delay included).  Closed-loop runs never touch
-//! the open-loop machinery: `run_for` branches once at the top, and the
-//! closed-loop path is the exact code it always was, so fixed seeds keep
-//! producing bit-identical results.
+//! distributions (queueing delay included).  Both modes share one serving
+//! loop; they differ only in where a free client's next job comes from.
+//! In closed loop it arrives the moment the client is free; in open loop
+//! it is the head of the admission queue.  Closed-loop runs draw nothing
+//! from the arrival stream, so fixed seeds keep producing bit-identical
+//! results.
 
 use crate::action::{TransactionSpec, TxnOutcome};
 use crate::arrival::ArrivalProcess;
@@ -28,8 +30,8 @@ use crate::designs::{DesignStats, SystemDesign};
 use crate::workload::{ReconfigureError, Workload, WorkloadChange};
 use atrapos_core::LatencyHistogram;
 use atrapos_numa::{
-    cycles_to_micros, frac_cycles_to_micros, secs_to_cycles, Breakdown, CoreId, Cycles,
-    Interconnect, Machine, SocketId,
+    frac_cycles_to_micros, secs_to_cycles, Breakdown, CoreId, Cycles, Interconnect, Machine,
+    SocketId,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -133,17 +135,6 @@ pub struct RunStats {
     pub queue_depth_max: u64,
 }
 
-impl RunStats {
-    /// Mean time per transaction in microseconds, derived from the
-    /// per-component breakdown (used for the paper's Figure 4).
-    pub fn time_per_txn_us(&self, ghz: f64) -> f64 {
-        if self.committed == 0 {
-            return 0.0;
-        }
-        cycles_to_micros(self.breakdown.total(), ghz) / self.committed as f64
-    }
-}
-
 #[derive(Debug, Clone)]
 struct Client {
     core: CoreId,
@@ -167,14 +158,24 @@ struct OpenLoopState {
     next_arrival: Option<Cycles>,
     /// Admitted arrivals (their timestamps) waiting for a client.
     queue: VecDeque<Cycles>,
-    // Per-segment accounting, reset by `run_open_loop`.
+    // Per-segment accounting, reset by `begin_segment`.
     offered: u64,
     admitted: u64,
     rejected: u64,
+    depth_start: u64,
     depth_max: u64,
 }
 
 impl OpenLoopState {
+    /// Reset the per-segment accounting; the queue carries over.
+    fn begin_segment(&mut self) {
+        self.offered = 0;
+        self.admitted = 0;
+        self.rejected = 0;
+        self.depth_start = self.queue.len() as u64;
+        self.depth_max = self.depth_start;
+    }
+
     /// The next arrival's timestamp, sampling it if necessary.
     fn peek_next(&mut self, ghz: f64) -> Cycles {
         if self.next_arrival.is_none() {
@@ -206,6 +207,29 @@ impl OpenLoopState {
             }
         }
     }
+
+    /// The job a client free at `t_ready` serves next, as `(arrival,
+    /// submit_at)`.  Everything that arrived while the client was busy is
+    /// offered (admitted or rejected) first; the client then takes the
+    /// queue head at once or, with the queue empty, idles until the next
+    /// arrival.  `None` when no arrival comes before `end_at`.
+    #[inline]
+    fn next_job(&mut self, t_ready: Cycles, end_at: Cycles, ghz: f64) -> Option<(Cycles, Cycles)> {
+        self.drain_arrivals(t_ready.saturating_add(1), ghz);
+        if let Some(arrival) = self.queue.pop_front() {
+            return Some((arrival, t_ready));
+        }
+        let next = self.peek_next(ghz);
+        if next >= end_at {
+            return None;
+        }
+        // The queue was empty and the bound is at least 1, so this arrival
+        // is admitted and popped straight back out.
+        self.drain_arrivals(next.saturating_add(1), ghz);
+        self.queue
+            .pop_front()
+            .map(|arrival| (arrival, next.max(t_ready)))
+    }
 }
 
 /// The segment's geometry: boundaries and time-series bucketing.
@@ -226,7 +250,7 @@ struct HwSnapshot {
     local_bytes: u64,
 }
 
-/// Per-segment tallies shared by the closed- and open-loop paths.
+/// Per-segment tallies.
 struct SegCounters {
     committed: u64,
     aborted: u64,
@@ -235,16 +259,6 @@ struct SegCounters {
     committed_by_socket: Vec<u64>,
     latency_histogram: LatencyHistogram,
     buckets: Vec<u64>,
-}
-
-/// Open-loop accounting of one segment, for `finish_stats`.
-struct OpenLoopSeg {
-    offered: u64,
-    admitted: u64,
-    rejected: u64,
-    depth_start: u64,
-    depth_end: u64,
-    depth_max: u64,
 }
 
 /// The virtual-time executor (closed loop by default; see the module docs
@@ -323,11 +337,6 @@ impl VirtualExecutor {
         self.design.as_ref()
     }
 
-    /// Mutable access to the workload.
-    pub fn workload_mut(&mut self) -> &mut dyn Workload {
-        self.workload.as_mut()
-    }
-
     /// Apply a typed reconfiguration to the workload (the adaptive
     /// experiments change the transaction mix or skew between segments).
     pub fn reconfigure_workload(
@@ -379,6 +388,7 @@ impl VirtualExecutor {
                     offered: 0,
                     admitted: 0,
                     rejected: 0,
+                    depth_start: 0,
                     depth_max: 0,
                 });
             }
@@ -443,11 +453,102 @@ impl VirtualExecutor {
     /// queues, design, workload, admission queue) carries over.  The loop
     /// is closed unless an arrival process is installed.
     pub fn run_for(&mut self, virtual_secs: f64) -> RunStats {
-        if self.open_loop.is_some() {
-            self.run_open_loop(virtual_secs)
-        } else {
-            self.run_closed_loop(virtual_secs)
+        let ghz = self.machine.topology.frequency_ghz();
+        let frame = self.seg_frame(virtual_secs);
+        let SegFrame {
+            seg_start,
+            end_at,
+            bucket_len,
+            n_buckets,
+            ..
+        } = frame;
+        let snap = self.hw_snapshot();
+        let mut counters = SegCounters {
+            committed: 0,
+            aborted: 0,
+            latency_sum: 0,
+            repartitions: 0,
+            committed_by_socket: vec![0u64; self.machine.topology.num_sockets()],
+            latency_histogram: LatencyHistogram::new(),
+            buckets: vec![0u64; n_buckets],
+        };
+        let mut open_loop = self.open_loop.take();
+        if let Some(ol) = &mut open_loop {
+            ol.begin_segment();
         }
+
+        // Keep picking the next client ready to submit until no client is
+        // active, no work is left, or the segment ends.  The loop body is
+        // the per-transaction path, kept allocation-free (spec buffers are
+        // reused); the marker makes the lint keep it that way.
+        // lint: hot-path
+        while let Some((ci, t)) = self
+            .clients
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.active)
+            .map(|(i, c)| (i, c.next_free))
+            .min_by_key(|&(_, t)| t)
+        {
+            let t_ready = t.max(seg_start);
+            if t_ready >= end_at {
+                break;
+            }
+            // Closed loop: the job arrives and is submitted the moment the
+            // client is free.  Open loop: it comes from the admission queue.
+            let (arrival, submit_at) = match &mut open_loop {
+                None => (t_ready, t_ready),
+                Some(ol) => match ol.next_job(t_ready, end_at, ghz) {
+                    Some(job) => job,
+                    None => break,
+                },
+            };
+            // Monitoring-interval boundaries that elapsed before the submit.
+            self.cross_interval_boundaries(submit_at, ghz, &mut counters.repartitions);
+
+            let client_core = self.clients[ci].core;
+            self.workload
+                .next_transaction_into(&mut self.rng, client_core, &mut self.spec_buf);
+            let out: TxnOutcome =
+                self.design
+                    .execute(&mut self.machine, &self.spec_buf, client_core, submit_at);
+            self.clients[ci].next_free = out.end;
+            self.clock = self.clock.max(out.end.min(end_at));
+            // Latency spans arrival to completion (queue wait included).
+            let latency = out.end.saturating_sub(arrival);
+            counters.latency_sum += u128::from(latency);
+            if out.committed {
+                counters.committed += 1;
+                counters.committed_by_socket
+                    [self.machine.topology.socket_of(client_core).index()] += 1;
+                counters.latency_histogram.record(latency);
+                self.total_committed += 1;
+                self.interval_committed += 1;
+                if out.end < end_at {
+                    let b = ((out.end - seg_start) / bucket_len) as usize;
+                    counters.buckets[b.min(n_buckets - 1)] += 1;
+                }
+            } else {
+                counters.aborted += 1;
+            }
+        }
+
+        // Arrivals up to the segment end are offered even if no client got
+        // to them — they queue (or are rejected) and carry into the next
+        // segment, so per-segment accounting is exact.
+        if let Some(ol) = &mut open_loop {
+            ol.drain_arrivals(end_at, ghz);
+        }
+        // Idle clients coast to the end of the segment.
+        for c in &mut self.clients {
+            if c.active {
+                c.next_free = c.next_free.max(end_at);
+            }
+        }
+        self.clock = end_at;
+        let stats = self.finish_stats(virtual_secs, &frame, &snap, counters, open_loop.as_ref());
+        self.open_loop = open_loop;
+        stats
     }
 
     /// Segment geometry for a `run_for` of `virtual_secs`.
@@ -501,15 +602,15 @@ impl VirtualExecutor {
         }
     }
 
-    /// Assemble a segment's `RunStats` from its counters and hardware
-    /// deltas.  Shared verbatim by the closed- and open-loop paths.
+    /// Assemble a segment's `RunStats` from its counters, hardware deltas
+    /// and, in open loop, the admission accounting.
     fn finish_stats(
         &self,
         virtual_secs: f64,
         frame: &SegFrame,
         snap: &HwSnapshot,
         counters: SegCounters,
-        open: Option<OpenLoopSeg>,
+        open: Option<&OpenLoopState>,
     ) -> RunStats {
         let ghz = self.machine.topology.frequency_ghz();
         let SegCounters {
@@ -580,211 +681,14 @@ impl VirtualExecutor {
             repartitions,
             committed_by_socket,
             open_loop: open.is_some(),
-            offered: open.as_ref().map_or(0, |o| o.offered),
-            admitted: open.as_ref().map_or(0, |o| o.admitted),
-            rejected: open.as_ref().map_or(0, |o| o.rejected),
-            offered_tps: open
-                .as_ref()
-                .map_or(0.0, |o| o.offered as f64 / virtual_secs),
-            queue_depth_start: open.as_ref().map_or(0, |o| o.depth_start),
-            queue_depth_end: open.as_ref().map_or(0, |o| o.depth_end),
-            queue_depth_max: open.as_ref().map_or(0, |o| o.depth_max),
+            offered: open.map_or(0, |o| o.offered),
+            admitted: open.map_or(0, |o| o.admitted),
+            rejected: open.map_or(0, |o| o.rejected),
+            offered_tps: open.map_or(0.0, |o| o.offered as f64 / virtual_secs),
+            queue_depth_start: open.map_or(0, |o| o.depth_start),
+            queue_depth_end: open.map_or(0, |o| o.queue.len() as u64),
+            queue_depth_max: open.map_or(0, |o| o.depth_max),
         }
-    }
-
-    /// The closed loop: every client resubmits the moment it is free.
-    fn run_closed_loop(&mut self, virtual_secs: f64) -> RunStats {
-        let ghz = self.machine.topology.frequency_ghz();
-        let frame = self.seg_frame(virtual_secs);
-        let SegFrame {
-            seg_start,
-            end_at,
-            bucket_len,
-            n_buckets,
-            ..
-        } = frame;
-        let snap = self.hw_snapshot();
-        let mut counters = SegCounters {
-            committed: 0,
-            aborted: 0,
-            latency_sum: 0,
-            repartitions: 0,
-            committed_by_socket: vec![0u64; self.machine.topology.num_sockets()],
-            latency_histogram: LatencyHistogram::new(),
-            buckets: vec![0u64; n_buckets],
-        };
-
-        // Keep picking the next client ready to submit until no client is
-        // active or the segment ends.  The loop body is the per-transaction
-        // path made allocation-free in PR 2 (spec buffers are reused);
-        // the marker makes the lint keep it that way.
-        // lint: hot-path
-        while let Some((ci, t)) = self
-            .clients
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.active)
-            .map(|(i, c)| (i, c.next_free))
-            .min_by_key(|&(_, t)| t)
-        {
-            let t = t.max(seg_start);
-            if t >= end_at {
-                break;
-            }
-            // Monitoring-interval boundaries that elapsed before `t`.
-            self.cross_interval_boundaries(t, ghz, &mut counters.repartitions);
-
-            let client_core = self.clients[ci].core;
-            self.workload
-                .next_transaction_into(&mut self.rng, client_core, &mut self.spec_buf);
-            let out: TxnOutcome =
-                self.design
-                    .execute(&mut self.machine, &self.spec_buf, client_core, t);
-            self.clients[ci].next_free = out.end;
-            self.clock = self.clock.max(out.end.min(end_at));
-            counters.latency_sum += u128::from(out.latency());
-            if out.committed {
-                counters.committed += 1;
-                counters.committed_by_socket
-                    [self.machine.topology.socket_of(client_core).index()] += 1;
-                counters.latency_histogram.record(out.latency());
-                self.total_committed += 1;
-                self.interval_committed += 1;
-                if out.end < end_at {
-                    let b = ((out.end - seg_start) / bucket_len) as usize;
-                    counters.buckets[b.min(n_buckets - 1)] += 1;
-                }
-            } else {
-                counters.aborted += 1;
-            }
-        }
-
-        // Idle clients coast to the end of the segment.
-        for c in &mut self.clients {
-            if c.active {
-                c.next_free = c.next_free.max(end_at);
-            }
-        }
-        self.clock = end_at;
-        self.finish_stats(virtual_secs, &frame, &snap, counters, None)
-    }
-
-    /// The open loop: arrivals come from the installed process, wait in
-    /// the bounded admission queue, and are served by whichever client
-    /// frees up first.  Latency spans arrival to commit, queue wait
-    /// included.
-    fn run_open_loop(&mut self, virtual_secs: f64) -> RunStats {
-        let ghz = self.machine.topology.frequency_ghz();
-        let frame = self.seg_frame(virtual_secs);
-        let SegFrame {
-            seg_start,
-            end_at,
-            bucket_len,
-            n_buckets,
-            ..
-        } = frame;
-        let snap = self.hw_snapshot();
-        let mut counters = SegCounters {
-            committed: 0,
-            aborted: 0,
-            latency_sum: 0,
-            repartitions: 0,
-            committed_by_socket: vec![0u64; self.machine.topology.num_sockets()],
-            latency_histogram: LatencyHistogram::new(),
-            buckets: vec![0u64; n_buckets],
-        };
-        let mut ol = self.open_loop.take().expect("open-loop state installed");
-        let depth_start = ol.queue.len() as u64;
-        ol.offered = 0;
-        ol.admitted = 0;
-        ol.rejected = 0;
-        ol.depth_max = depth_start;
-
-        // Allocation-free per-transaction serving loop, like the closed
-        // loop above.
-        // lint: hot-path
-        while let Some((ci, t)) = self
-            .clients
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.active)
-            .map(|(i, c)| (i, c.next_free))
-            .min_by_key(|&(_, t)| t)
-        {
-            let t_ready = t.max(seg_start);
-            if t_ready >= end_at {
-                break;
-            }
-            // Everything that arrived while this client was busy gets
-            // offered (admitted or rejected) before service resumes.
-            ol.drain_arrivals(t_ready.saturating_add(1), ghz);
-            let (arrival, submit_at) = match ol.queue.pop_front() {
-                // Queued work: the client starts it the moment it is free.
-                Some(arrival) => (arrival, t_ready),
-                None => {
-                    // The system is idle; jump to the next arrival.
-                    let next = ol.peek_next(ghz);
-                    if next >= end_at {
-                        break;
-                    }
-                    ol.drain_arrivals(next.saturating_add(1), ghz);
-                    match ol.queue.pop_front() {
-                        Some(arrival) => (arrival, next.max(t_ready)),
-                        // Unreachable with bound ≥ 1 and an empty queue.
-                        None => continue,
-                    }
-                }
-            };
-            self.cross_interval_boundaries(submit_at, ghz, &mut counters.repartitions);
-
-            let client_core = self.clients[ci].core;
-            self.workload
-                .next_transaction_into(&mut self.rng, client_core, &mut self.spec_buf);
-            let out: TxnOutcome =
-                self.design
-                    .execute(&mut self.machine, &self.spec_buf, client_core, submit_at);
-            self.clients[ci].next_free = out.end;
-            self.clock = self.clock.max(out.end.min(end_at));
-            // Open-loop latency spans arrival to completion.
-            let latency = out.end.saturating_sub(arrival);
-            counters.latency_sum += u128::from(latency);
-            if out.committed {
-                counters.committed += 1;
-                counters.committed_by_socket
-                    [self.machine.topology.socket_of(client_core).index()] += 1;
-                counters.latency_histogram.record(latency);
-                self.total_committed += 1;
-                self.interval_committed += 1;
-                if out.end < end_at {
-                    let b = ((out.end - seg_start) / bucket_len) as usize;
-                    counters.buckets[b.min(n_buckets - 1)] += 1;
-                }
-            } else {
-                counters.aborted += 1;
-            }
-        }
-
-        // Arrivals up to the segment end are offered even if no client got
-        // to them — they queue (or are rejected) and carry into the next
-        // segment, so per-segment accounting is exact.
-        ol.drain_arrivals(end_at, ghz);
-
-        for c in &mut self.clients {
-            if c.active {
-                c.next_free = c.next_free.max(end_at);
-            }
-        }
-        self.clock = end_at;
-        let open = OpenLoopSeg {
-            offered: ol.offered,
-            admitted: ol.admitted,
-            rejected: ol.rejected,
-            depth_start,
-            depth_end: ol.queue.len() as u64,
-            depth_max: ol.depth_max,
-        };
-        self.open_loop = Some(ol);
-        self.finish_stats(virtual_secs, &frame, &snap, counters, Some(open))
     }
 }
 

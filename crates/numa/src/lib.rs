@@ -42,7 +42,6 @@ pub mod counters;
 pub mod ctx;
 pub mod interconnect;
 pub mod machine;
-pub mod placement;
 pub mod topology;
 
 pub use clock::{
@@ -57,5 +56,4 @@ pub use counters::{
 pub use ctx::SimCtx;
 pub use interconnect::Interconnect;
 pub use machine::Machine;
-pub use placement::{round_robin_by_socket, socket_fill, CorePlacement};
 pub use topology::{CoreId, SocketId, Topology, TopologyKind};

@@ -205,13 +205,6 @@ impl Topology {
         self.frequency_ghz
     }
 
-    /// Override the clock frequency (GHz).
-    pub fn with_frequency_ghz(mut self, ghz: f64) -> Self {
-        assert!(ghz > 0.0);
-        self.frequency_ghz = ghz;
-        self
-    }
-
     /// Total number of sockets (including failed ones).
     pub fn num_sockets(&self) -> usize {
         self.sockets.len()
@@ -242,12 +235,6 @@ impl Topology {
     #[inline]
     pub fn distance(&self, a: SocketId, b: SocketId) -> u32 {
         self.distance[a.index()][b.index()]
-    }
-
-    /// Hop distance between the sockets of two cores.
-    #[inline]
-    pub fn core_distance(&self, a: CoreId, b: CoreId) -> u32 {
-        self.distance(self.socket_of(a), self.socket_of(b))
     }
 
     /// Whether a socket is currently active.

@@ -4,8 +4,8 @@
 //! bookkeeping.
 
 use atrapos_numa::{
-    round_robin_by_socket, socket_fill, AccessKind, Component, ContendedLine, CoreId, CostModel,
-    Cycles, Interconnect, Machine, SimCtx, SimResource, SocketId, Topology, WaitMode,
+    AccessKind, Component, ContendedLine, CoreId, CostModel, Cycles, Interconnect, Machine, SimCtx,
+    SimResource, SocketId, Topology, WaitMode,
 };
 use proptest::prelude::*;
 
@@ -101,31 +101,6 @@ proptest! {
                 prop_assert_eq!(d, manhattan);
             }
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Placement helpers
-    // ------------------------------------------------------------------
-
-    /// Round-robin placement spreads threads so that no core is assigned
-    /// more than one thread above any other, while socket-fill packs them
-    /// socket by socket.
-    #[test]
-    fn placement_strategies_cover_requested_threads((sockets, cores) in machine_shape(), n in 1usize..100) {
-        let topo = Topology::multisocket(sockets, cores);
-        for placement in [round_robin_by_socket(&topo, n), socket_fill(&topo, n)] {
-            prop_assert_eq!(placement.len(), n);
-            let per_core = placement.load_per_core(&topo);
-            prop_assert_eq!(per_core.iter().sum::<usize>(), n);
-            for (i, _) in placement.iter() {
-                prop_assert!(placement.core_of(i).index() < topo.num_cores());
-            }
-        }
-        let rr = round_robin_by_socket(&topo, n);
-        let loads = rr.load_per_core(&topo);
-        let max = loads.iter().copied().max().unwrap_or(0);
-        let min = loads.iter().copied().min().unwrap_or(0);
-        prop_assert!(max - min <= 1, "round-robin should be balanced: {loads:?}");
     }
 
     // ------------------------------------------------------------------

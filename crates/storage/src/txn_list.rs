@@ -124,11 +124,6 @@ impl TxnList {
         out
     }
 
-    /// Total number of exclusive accesses to list heads (contention metric).
-    pub fn total_head_rmws(&self) -> u64 {
-        self.partitions.iter().map(|p| p.head.rmw_count).sum()
-    }
-
     /// Exclusive head accesses that crossed a socket boundary.
     pub fn remote_head_accesses(&self) -> u64 {
         self.partitions.iter().map(|p| p.head.remote_accesses).sum()
